@@ -46,7 +46,7 @@ def test_iteration_counts_vs_condition(once):
 
 
 def test_flop_model(once):
-    """Executed task flops vs the paper's Section 4 formula."""
+    """Summed task flops (the per-tile model) vs the paper's formula."""
     from repro.dist import DistMatrix, ProcessGrid
     from repro.runtime import Runtime
     from repro.core.tiled_qdwh import tiled_qdwh
@@ -67,9 +67,9 @@ def test_flop_model(once):
 
     rows = once(body)
     text = format_table(
-        "E13: paper flop formula vs executed task flops (kappa=1e16; "
-        "the ~1.5x gap = unstructured stacked QR + explicit Q)",
-        ["n", "model flops", "executed flops", "ratio"], rows)
+        "E13: paper flop formula vs summed Task.flops (kappa=1e16; "
+        "the ~1.8x gap = tile-model T builds and couples + explicit Q)",
+        ["n", "paper flops", "task flops", "ratio"], rows)
     write_result("flop_model", text)
     for r in rows:
         assert 1.0 < r[3] < 2.0

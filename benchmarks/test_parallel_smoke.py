@@ -6,7 +6,10 @@ and asserts 4 workers are not meaningfully *slower* than 1.  On a
 multicore host the 4-worker run should win outright; the slack factor
 keeps the check meaningful but unflakeable on single-core or noisy CI
 runners, where threading can only add overhead bounded by the
-dispatch cost (the payloads release the GIL either way).
+dispatch cost.  Not every payload releases the GIL: numpy's ``@`` and
+Cholesky do, but scipy's f2py wrappers of the tile-QR kernels and of
+``solve_triangular`` hold it, so threads cannot overlap those (see
+docs/parallel_backend.md).
 """
 
 from __future__ import annotations

@@ -1,22 +1,32 @@
 """Numeric single-tile kernels.
 
 These are the payloads of the runtime's tasks: plain numpy/LAPACK math
-on one or two tiles.  The QR kernels use the compact WY (blocked
-Householder) representation:
+on one or two tiles.  The QR kernels are LAPACK's structured tile-QR
+routines (PLASMA/SLATE's), in compact WY form ``Q = I - V T V^H`` with
+T kept in an ``ib x k`` side buffer:
 
-    Q = I - V T V^H
-
-with V unit-lower-trapezoidal and T upper-triangular, exactly LAPACK's
-``geqrt`` storage: the factored tile holds R in its upper triangle and
-the V columns below the diagonal; T is kept in a side buffer.
+* ``geqrt`` leaves R in a tile's upper triangle and V below it;
+* ``gemqrt`` applies that Q or Q^H to another tile;
+* ``tpqrt`` factors ``[R; B]`` for a triangular R and a B whose last
+  ``l`` rows are upper trapezoidal (``l = 0``: TS couple; ``l =
+  rows(B)``: TT combine).  The top reflector block is the identity, so
+  it returns only V_bot (B's shape) and T; R_new replaces R's upper
+  triangle, the entries below it are untouched;
+* ``tpmqrt`` applies such a coupled reflector to ``[C_top; C_bot]``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 import scipy.linalg as sla
+
+#: Inner block size of the QR kernels (``ib = min(IB, k)``).  Of 16, 32,
+#: 64 and 128 it makes the applies (``?gemqrt``/``?tpmqrt``), which
+#: outnumber the factorizations, fastest on 128 x 128 float64 tiles.
+IB = 32
 
 
 def build_t(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -24,7 +34,8 @@ def build_t(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
     ``v`` is m x k unit-lower-trapezoidal (implicit unit diagonal is
     expected to already be in place), ``tau`` the k reflector scalars.
-    Returns upper-triangular T with ``Q = I - V T V^H``.
+    Returns upper-triangular T with ``Q = I - V T V^H``.  The reference
+    the tests check LAPACK's T against; no kernel calls it.
     """
     m, k = v.shape
     t = np.zeros((k, k), dtype=v.dtype)
@@ -37,81 +48,71 @@ def build_t(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return t
 
 
-def _unit_lower(v_raw: np.ndarray, k: int) -> np.ndarray:
-    """Extract V (unit diagonal, zero upper) from raw QR storage."""
-    v = np.tril(v_raw, -1)
-    v[np.diag_indices(min(v.shape[0], k))] = 1.0
-    return v[:, :k]
+@lru_cache(maxsize=None)
+def _routine(name: str, dtype: np.dtype):
+    return sla.get_lapack_funcs(name, dtype=dtype)
+
+
+def _lapack(kernel: str, name: str, dtype: np.dtype, *args, **kwargs):
+    """Outputs of LAPACK ``?name`` for ``dtype``; a nonzero info raises
+    ``LinAlgError`` naming ``kernel``, so no bad factor is stored."""
+    fn = _routine(name, dtype)
+    *out, info = fn(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{kernel}: {fn.typecode}{name} returned info={info}")
+    return tuple(out)
+
+
+def _check_l(kernel: str, l: int, rows: int, k: int) -> None:
+    """``0 <= l <= min(rows, k)``: ``?tpmqrt`` leaves ``l <= rows``
+    unchecked (scipy's wrapper too) and corrupts memory."""
+    if not 0 <= l <= min(rows, k):
+        raise np.linalg.LinAlgError(
+            f"{kernel}: l={l} outside [0, {min(rows, k)}]")
+
+
+def _trans(dtype: np.dtype, conj_trans: bool) -> str:
+    return ("C" if dtype.kind == "c" else "T") if conj_trans else "N"
 
 
 def geqrt_kernel(tile: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """QR-factor one tile; returns (factored tile, T).
-
-    The returned tile holds R in its upper triangle and the Householder
-    vectors below the diagonal (LAPACK compact form).
-    """
-    m, n = tile.shape
-    k = min(m, n)
-    (qr_raw, tau), _r = sla.qr(tile, mode="raw")
-    v = _unit_lower(qr_raw, k)
-    t = build_t(v, tau)
-    return np.ascontiguousarray(qr_raw), t
+    """QR-factor one tile; returns (factored tile, ``ib x min(m, n)`` T)."""
+    return _lapack("geqrt_kernel", "geqrt", tile.dtype,
+                   min(IB, *tile.shape), tile)
 
 
 def apply_q_kernel(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray,
                    conj_trans: bool) -> np.ndarray:
-    """Apply Q or Q^H (from one factored tile) to C, returning new C.
+    """Apply Q or Q^H of a geqrt-factored tile to C, returning new C."""
+    return _lapack("apply_q_kernel", "gemqrt", c.dtype,
+                   v_tile[:, :t.shape[1]], t, c,
+                   trans=_trans(c.dtype, conj_trans))[0]
 
-    ``v_tile`` is the compact geqrt output (R upper + V lower); only
-    the V part is used.  Q = I - V T V^H; Q^H = I - V T^H V^H.
+
+def tpqrt_kernel(r_top: np.ndarray, b: np.ndarray, l: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor ``[triu(R); B]`` (k x k R); returns (top, V_bot, T).
+
+    ``top`` is ``r_top`` with R_new in its upper triangle; B's last
+    ``l`` rows are upper trapezoidal; T is ``ib x k``.
     """
-    k = t.shape[0]
-    v = _unit_lower(v_tile, k)
-    tt = t.conj().T if conj_trans else t
-    w = v.conj().T @ c          # k x nc
-    return c - v @ (tt @ w)
+    k = r_top.shape[1]
+    _check_l("tpqrt_kernel", l, b.shape[0], k)
+    return _lapack("tpqrt_kernel", "tpqrt", b.dtype, l, min(IB, k), r_top, b)
 
 
-def tpqrt_kernel(r_upper: np.ndarray, a_bot: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Couple a k x k upper-triangular R block with an mb x k tile.
-
-    Factors ``[triu(R); A_bot] = Q R_new``.  Returns
-    ``(R_new, V_top, V_bot, T)``:
-
-    * ``R_new`` — k x k, upper triangular (replaces the R part of the
-      diagonal tile; the diagonal tile's geqrt reflectors below its
-      diagonal are untouched).
-    * ``V_top`` — k x k unit-lower reflector block.  PLASMA's
-      structured TS kernel has V_top = I; factoring the dense stack
-      yields a general unit-lower block, stored in the side buffer.
-    * ``V_bot`` — mb x k reflector block.
-    * ``T`` — k x k upper-triangular block-reflector factor for the
-      stacked V = [V_top; V_bot].
-    """
-    k = r_upper.shape[1]
-    stacked = np.vstack([np.triu(r_upper[:k, :k]), a_bot])
-    (qr_raw, tau), _r = sla.qr(stacked, mode="raw")
-    v = _unit_lower(qr_raw, k)
-    t = build_t(v, tau)
-    r_new = np.triu(qr_raw[:k, :k])
-    v_top = np.ascontiguousarray(v[:k])
-    v_bot = np.ascontiguousarray(v[k:])
-    return r_new, v_top, v_bot, t
-
-
-def tpmqrt_kernel(v_top: np.ndarray, v_bot: np.ndarray, t: np.ndarray,
-                  c_top: np.ndarray, c_bot: np.ndarray,
+def tpmqrt_kernel(v_bot: np.ndarray, t: np.ndarray, c_top: np.ndarray,
+                  c_bot: np.ndarray, l: int,
                   conj_trans: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply a coupled reflector pair to the stacked [C_top; C_bot].
+    """Apply a ``tpqrt_kernel`` reflector (Q or Q^H) to [C_top; C_bot].
 
-    ``c_top`` must be the k x nc slice the reflectors act on (the
-    first k rows of the diagonal tile row); ``c_bot`` the full mate.
+    ``c_top`` is the k x nc slice the reflectors act on (the first k
+    rows of the top tile row); ``c_bot`` has ``v_bot``'s rows.
     """
-    tt = t.conj().T if conj_trans else t
-    w = v_top.conj().T @ c_top + v_bot.conj().T @ c_bot   # k x nc
-    w = tt @ w
-    return c_top - v_top @ w, c_bot - v_bot @ w
+    _check_l("tpmqrt_kernel", l, *v_bot.shape)
+    return _lapack("tpmqrt_kernel", "tpmqrt", c_bot.dtype, l, v_bot, t,
+                   c_top, c_bot, trans=_trans(c_bot.dtype, conj_trans))
 
 
 def potrf_kernel(tile: np.ndarray) -> np.ndarray:

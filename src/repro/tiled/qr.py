@@ -7,9 +7,10 @@ The PLASMA/SLATE tile-QR algorithm: at panel step k,
 * ``tpqrt`` couples each below-panel tile with the R block,
 * ``tpmqrt`` applies each coupling across the trailing tile rows.
 
-The factored matrix keeps R in its upper tiles and the panel
-reflectors below; T factors (and the generic V_top blocks of the
-couple kernels) live in a side buffer with their own dependency refs.
+With LAPACK's structured kernels (:mod:`.kernels`) the factored matrix
+keeps R in its upper tiles and the panel reflectors below; only the
+``ib x kb`` T factors (and the tree combines' V_bot blocks) live in a
+side buffer with their own dependency refs.
 
 ``qr_explicit`` forms the economy Q = Q_full[:, :n] by applying the
 reflectors to an [I; 0] workspace in reverse order — exactly how
@@ -37,10 +38,11 @@ class QRFactors:
     ``panel`` records which reduction built it:
 
     * flat — ``aux[(k,k)]`` is the geqrt T; ``aux[(i,k)]`` (i > k) is
-      the TS couple's ``(V_top, T)`` with V_bot stored in tile (i,k).
+      the TS couple's T (``l = 0``), with V_bot stored in tile (i,k).
     * tree — ``aux[(i,k)]`` is the geqrt T of *every* block row i;
-      ``aux[("tt", i2, k)]`` is the triangle-combine ``(V_top, V_bot,
-      T, rows_eff)`` whose bottom operand was row i2.
+      ``aux[("tt", i2, k)]`` is the triangle-combine ``(V_bot, T,
+      rows_eff)`` whose bottom operand was row i2's top ``l = rows_eff``
+      rows.  Every T is ``ib x k`` for k reflectors (:func:`_t_nbytes`).
     """
 
     a: DistMatrix                 # R upper + panel reflectors lower
@@ -55,6 +57,11 @@ class QRFactors:
 
     def tt_ref(self, i2: int, k: int) -> TileRef:
         return (self.tt_mat, i2, k)
+
+
+def _t_nbytes(k: int, itemsize: int) -> int:
+    """Bytes of the ``ib x k`` T factor of k reflectors."""
+    return min(kernels.IB, k) * k * itemsize
 
 
 def _tree_rounds(heights, kb: int):
@@ -134,9 +141,9 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
     fac = QRFactors(a=a, kt=kt, aux_mat=rt.new_matrix_id())
     fac.panel = "flat"
     aux = fac.aux
-    # Processes backend: aux entries (T factors, V blocks) are driver
-    # dict state written inside payloads; declaring the store lets the
-    # scheduler ship them between workers by their pseudo-tile refs.
+    # Processes backend: aux entries (T factors) are driver dict state
+    # written inside payloads; declaring the store lets the scheduler
+    # ship them between workers by their pseudo-tile refs.
     rt.register_side_store(fac.aux_mat, aux, lambda ref: (ref[1], ref[2]))
     itemsize = a.dtype.itemsize
     for k in range(kt):
@@ -144,7 +151,8 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
         kb = a.tile_cols(k)
         mb = a.tile_rows(k)
         tkk = fac.t_ref(k, k)
-        rt.register_tiles([tkk], kb * kb * itemsize)
+        tkk_bytes = _t_nbytes(min(mb, kb), itemsize)
+        rt.register_tiles([tkk], tkk_bytes)
 
         def panel(k=k):
             tile, t = kernels.geqrt_kernel(a.tile(k, k))
@@ -154,7 +162,7 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
         rt.submit(TaskKind.GEQRT, reads=(a.ref(k, k),),
                   writes=(a.ref(k, k), tkk), rank=a.owner(k, k),
                   flops=F.tile_geqrt(mb, kb), tile_dim=a.nb, fn=panel,
-                  bytes_out=a.tile_nbytes(k, k) + kb * kb * itemsize,
+                  bytes_out=a.tile_nbytes(k, k) + tkk_bytes,
                   label=f"geqrt({k})")
 
         for j in range(k + 1, a.nt):
@@ -174,15 +182,13 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
         for i in range(k + 1, a.mt):
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
-            rt.register_tiles([tik], 2 * kb * kb * itemsize)
+            rt.register_tiles([tik], _t_nbytes(kb, itemsize))
 
             def couple(k=k, i=i, kb=kb):
-                r_new, v_top, v_bot, t = kernels.tpqrt_kernel(
-                    a.tile(k, k)[:kb, :kb], a.tile(i, k))
                 dkk = a.tile(k, k)
-                dkk[:kb, :kb] = np.tril(dkk[:kb, :kb], -1) + r_new
+                dkk[:kb, :kb], v_bot, aux[(i, k)] = kernels.tpqrt_kernel(
+                    dkk[:kb, :kb], a.tile(i, k), 0)
                 a.tile(i, k)[...] = v_bot
-                aux[(i, k)] = (v_top, t)
 
             rt.submit(TaskKind.TPQRT,
                       reads=(a.ref(k, k), a.ref(i, k)),
@@ -191,19 +197,16 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
                       flops=F.tile_tpqrt(mbi, kb), tile_dim=a.nb,
                       fn=couple,
                       bytes_out=(a.tile_nbytes(k, k) + a.tile_nbytes(i, k)
-                                 + 2 * kb * kb * itemsize),
+                                 + _t_nbytes(kb, itemsize)),
                       label=f"tpqrt({i},{k})")
 
             for j in range(k + 1, a.nt):
 
                 def pair_apply(k=k, i=i, j=j, kb=kb):
-                    v_top, t = aux[(i, k)]
                     top = a.tile(k, j)
-                    new_top, new_bot = kernels.tpmqrt_kernel(
-                        v_top, a.tile(i, k), t, top[:kb], a.tile(i, j),
-                        conj_trans=True)
-                    top[:kb] = new_top
-                    a.tile(i, j)[...] = new_bot
+                    top[:kb], a.tile(i, j)[...] = kernels.tpmqrt_kernel(
+                        a.tile(i, k), aux[(i, k)], top[:kb], a.tile(i, j),
+                        0, conj_trans=True)
 
                 rt.submit(TaskKind.TPMQRT,
                           reads=(a.ref(i, k), tik),
@@ -243,7 +246,8 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
         for i in range(k, a.mt):
             mbi = a.tile_rows(i)
             tik = fac.t_ref(i, k)
-            rt.register_tiles([tik], kb * kb * itemsize)
+            t_bytes = _t_nbytes(min(mbi, kb), itemsize)
+            rt.register_tiles([tik], t_bytes)
 
             def rowfac(i=i, k=k):
                 tile, t = kernels.geqrt_kernel(a.tile(i, k))
@@ -254,7 +258,7 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
                       writes=(a.ref(i, k), tik), rank=a.owner(i, k),
                       flops=F.tile_geqrt(mbi, kb), tile_dim=a.nb,
                       fn=rowfac,
-                      bytes_out=a.tile_nbytes(i, k) + kb * kb * itemsize,
+                      bytes_out=a.tile_nbytes(i, k) + t_bytes,
                       label=f"ts.geqrt({i},{k})")
 
             for j in range(k + 1, a.nt):
@@ -278,16 +282,15 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
             for p1, p2, rows_eff in round_pairs:
                 i1, i2 = k + p1, k + p2
                 ttref = fac.tt_ref(i2, k)
-                rt.register_tiles([ttref],
-                                  (kb * kb + rows_eff * kb) * itemsize)
+                tt_bytes = (_t_nbytes(kb, itemsize)
+                            + rows_eff * kb * itemsize)
+                rt.register_tiles([ttref], tt_bytes)
 
                 def combine(i1=i1, i2=i2, k=k, kb=kb, rows_eff=rows_eff):
                     top = a.tile(i1, k)
-                    bot_r = np.triu(a.tile(i2, k)[:rows_eff])
-                    r_new, v_top, v_bot, t = kernels.tpqrt_kernel(
-                        top[:kb, :kb], bot_r)
-                    top[:kb, :kb] = np.tril(top[:kb, :kb], -1) + r_new
-                    aux[("tt", i2, k)] = (v_top, v_bot, t, rows_eff)
+                    top[:kb, :kb], v_bot, t = kernels.tpqrt_kernel(
+                        top[:kb, :kb], a.tile(i2, k)[:rows_eff], rows_eff)
+                    aux[("tt", i2, k)] = (v_bot, t, rows_eff)
 
                 rt.submit(TaskKind.TPQRT,
                           reads=(a.ref(i1, k), a.ref(i2, k)),
@@ -295,22 +298,18 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
                           rank=a.owner(i1, k),
                           flops=F.tile_ttqrt(kb), tile_dim=a.nb,
                           fn=combine,
-                          bytes_out=(a.tile_nbytes(i1, k)
-                                     + (kb * kb + rows_eff * kb)
-                                     * itemsize),
+                          bytes_out=a.tile_nbytes(i1, k) + tt_bytes,
                           label=f"ttqrt({i1},{i2},{k})")
 
                 for j in range(k + 1, a.nt):
 
                     def pairupd(i1=i1, i2=i2, j=j, k=k, kb=kb):
-                        v_top, v_bot, t, rows_eff = aux[("tt", i2, k)]
+                        v_bot, t, rows_eff = aux[("tt", i2, k)]
                         ct = a.tile(i1, j)
                         cb = a.tile(i2, j)
-                        new_t, new_b = kernels.tpmqrt_kernel(
-                            v_top, v_bot, t, ct[:kb], cb[:rows_eff],
+                        ct[:kb], cb[:rows_eff] = kernels.tpmqrt_kernel(
+                            v_bot, t, ct[:kb], cb[:rows_eff], rows_eff,
                             conj_trans=True)
-                        ct[:kb] = new_t
-                        cb[:rows_eff] = new_b
 
                     rt.submit(TaskKind.TPMQRT,
                               reads=(ttref,),
@@ -370,13 +369,10 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
             for j in range(q.nt):
 
                 def pair_apply(k=k, i=i, j=j, kb=kb):
-                    v_top, t = fac.aux[(i, k)]
                     top = q.tile(k, j)
-                    new_top, new_bot = kernels.tpmqrt_kernel(
-                        v_top, a.tile(i, k), t, top[:kb], q.tile(i, j),
-                        conj_trans=False)
-                    top[:kb] = new_top
-                    q.tile(i, j)[...] = new_bot
+                    top[:kb], q.tile(i, j)[...] = kernels.tpmqrt_kernel(
+                        a.tile(i, k), fac.aux[(i, k)], top[:kb],
+                        q.tile(i, j), 0, conj_trans=False)
 
                 rt.submit(TaskKind.TPMQRT,
                           reads=(a.ref(i, k), tik),
@@ -418,14 +414,12 @@ def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
                 for j in range(q.nt):
 
                     def pairupd(i1=i1, i2=i2, j=j, k=k, kb=kb):
-                        v_top, v_bot, t, rows_eff = fac.aux[("tt", i2, k)]
+                        v_bot, t, rows_eff = fac.aux[("tt", i2, k)]
                         ct = q.tile(i1, j)
                         cb = q.tile(i2, j)
-                        new_t, new_b = kernels.tpmqrt_kernel(
-                            v_top, v_bot, t, ct[:kb], cb[:rows_eff],
+                        ct[:kb], cb[:rows_eff] = kernels.tpmqrt_kernel(
+                            v_bot, t, ct[:kb], cb[:rows_eff], rows_eff,
                             conj_trans=False)
-                        ct[:kb] = new_t
-                        cb[:rows_eff] = new_b
 
                     rt.submit(TaskKind.TPMQRT, reads=(ttref,),
                               writes=(q.ref(i1, j), q.ref(i2, j)),

@@ -7,12 +7,24 @@ from hypothesis import strategies as st
 
 from repro.tiled import kernels
 
+DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+
 
 def rand(rng, m, n, cplx=False):
     a = rng.standard_normal((m, n))
     if cplx:
         a = a + 1j * rng.standard_normal((m, n))
     return a
+
+
+def rand_dtype(rng, m, n, dtype):
+    return rand(rng, m, n, np.dtype(dtype).kind == "c").astype(dtype)
+
+
+def close(x, y, dtype, scale=1.0):
+    """``x == y`` to a residual of a few ulps of ``dtype`` per entry."""
+    tol = 64 * np.finfo(dtype).eps * max(scale, 1.0)
+    return np.abs(np.asarray(x) - np.asarray(y)).max(initial=0) <= tol
 
 
 class TestBuildT:
@@ -44,58 +56,134 @@ class TestBuildT:
         tile, t = kernels.geqrt_kernel(a)
         assert np.allclose(t, np.triu(t))
 
+    @given(st.integers(1, 40), st.integers(1, kernels.IB),
+           st.sampled_from(DTYPES))
+    def test_geqrt_t_matches_build_t(self, m, k, dtype):
+        """With ``ib = k`` (k <= IB) LAPACK's geqrt T is the whole larft
+        T, so the reference ``build_t`` must rebuild it from V and the
+        reflector scalars on T's diagonal."""
+        m = max(m, k)
+        rng = np.random.default_rng(m * 7 + k)
+        tile, t = kernels.geqrt_kernel(rand_dtype(rng, m, k, dtype))
+        assert t.shape == (k, k)
+        v = np.tril(tile, -1)
+        v[np.diag_indices(k)] = 1
+        assert close(kernels.build_t(v, np.diag(t)), t, dtype)
+
 
 class TestGeqrtApply:
-    @given(st.integers(2, 16), st.integers(1, 16), st.booleans())
-    def test_factor_apply_roundtrip(self, m, n, cplx):
-        if m < n:
-            m, n = n, m
+    @given(st.integers(1, 48), st.integers(1, 48), st.sampled_from(DTYPES))
+    def test_factor_apply_roundtrip(self, m, n, dtype):
+        """Q [R; 0] = A, for k both below and above the inner block."""
         rng = np.random.default_rng(m + 31 * n)
-        a = rand(rng, m, n, cplx)
+        a = rand_dtype(rng, m, n, dtype)
         tile, t = kernels.geqrt_kernel(a.copy())
-        r = np.triu(tile)[:n]
-        # Apply Q to [R; extra zeros...]: Q @ [R; 0] must give back A.
-        c = np.zeros((m, n), dtype=a.dtype)
-        c[:n] = r
+        k = min(m, n)
+        assert t.shape == (min(kernels.IB, k), k)
+        c = np.zeros((m, n), dtype=dtype)
+        c[:k] = np.triu(tile)[:k]
         back = kernels.apply_q_kernel(tile, t, c, conj_trans=False)
-        assert np.allclose(back, a, atol=1e-11)
+        assert close(back, a, dtype, np.abs(a).max() * m)
 
-    def test_qh_q_is_identity(self, rng):
-        a = rand(rng, 12, 8)
-        tile, t = kernels.geqrt_kernel(a)
-        c = rng.standard_normal((12, 5))
+    @given(st.integers(1, 48), st.integers(1, 48), st.integers(1, 6),
+           st.sampled_from(DTYPES))
+    def test_qh_q_is_identity(self, m, n, nc, dtype):
+        rng = np.random.default_rng(m * 5 + n)
+        tile, t = kernels.geqrt_kernel(rand_dtype(rng, m, n, dtype))
+        c = rand_dtype(rng, m, nc, dtype)
         fwd = kernels.apply_q_kernel(tile, t, c, conj_trans=False)
         back = kernels.apply_q_kernel(tile, t, fwd, conj_trans=True)
-        assert np.allclose(back, c, atol=1e-12)
+        assert close(back, c, dtype, np.abs(c).max() * m)
+
+
+def couple_case(rng, kdim, mb, mode, dtype):
+    """(R, B, l) for a TS couple, a TT combine or a ragged TT combine.
+
+    R and a TT ``B`` carry junk below the diagonal, as the tiles of the
+    tiled QR do (the geqrt reflectors): the kernels must not read it.
+    """
+    r_top = rand_dtype(rng, kdim, kdim, dtype)
+    if mode == "ts":
+        return r_top, rand_dtype(rng, mb, kdim, dtype), 0
+    rows = kdim if mode == "tt" else min(mb, kdim)
+    return r_top, rand_dtype(rng, rows, kdim, dtype), rows
 
 
 class TestTpqrt:
-    @given(st.integers(1, 10), st.integers(1, 12), st.booleans())
-    def test_couple_reconstructs(self, kdim, mb, cplx):
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from(["ts", "tt", "ragged"]), st.sampled_from(DTYPES))
+    def test_couple_reconstructs(self, kdim, mb, mode, dtype):
         rng = np.random.default_rng(kdim * 7 + mb)
-        r_top = np.triu(rand(rng, kdim, kdim, cplx))
-        a_bot = rand(rng, mb, kdim, cplx)
-        r_new, v_top, v_bot, t = kernels.tpqrt_kernel(r_top, a_bot)
-        assert np.allclose(r_new, np.triu(r_new))
-        # Q^H [R; A] = [R_new; 0]: apply to the stack and check.
-        top, bot = kernels.tpmqrt_kernel(v_top, v_bot, t,
-                                         r_top.copy(), a_bot.copy(),
-                                         conj_trans=True)
-        assert np.allclose(top, r_new, atol=1e-11)
-        assert np.allclose(bot, 0, atol=1e-11)
+        r_top, b, l = couple_case(rng, kdim, mb, mode, dtype)
+        top, v_bot, t = kernels.tpqrt_kernel(r_top.copy(), b.copy(), l)
+        assert t.shape == (min(kernels.IB, kdim), kdim)
+        assert v_bot.shape == b.shape
+        # R_new replaces R's upper triangle; the junk below is kept.
+        assert np.array_equal(np.tril(top, -1), np.tril(r_top, -1))
+        # Q^H [triu(R); B_pentagon] = [R_new; 0].
+        b_used = b if l == 0 else np.triu(b)
+        qr_top, qr_bot = kernels.tpmqrt_kernel(
+            v_bot, t, np.triu(r_top), b_used, l, conj_trans=True)
+        scale = np.abs(np.vstack([r_top, b])).max() * (kdim + mb)
+        assert close(qr_top, np.triu(top), dtype, scale)
+        assert close(qr_bot, 0, dtype, scale)
 
-    def test_apply_is_unitary(self, rng):
-        r_top = np.triu(rand(rng, 6, 6))
-        a_bot = rand(rng, 9, 6)
-        _, v_top, v_bot, t = kernels.tpqrt_kernel(r_top, a_bot)
-        c_top = rand(rng, 6, 4)
-        c_bot = rand(rng, 9, 4)
-        t1, b1 = kernels.tpmqrt_kernel(v_top, v_bot, t, c_top, c_bot,
-                                       conj_trans=True)
-        t2, b2 = kernels.tpmqrt_kernel(v_top, v_bot, t, t1, b1,
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 6),
+           st.sampled_from(["ts", "tt", "ragged"]), st.sampled_from(DTYPES))
+    def test_apply_is_unitary(self, kdim, mb, nc, mode, dtype):
+        rng = np.random.default_rng(kdim * 11 + mb)
+        r_top, b, l = couple_case(rng, kdim, mb, mode, dtype)
+        _, v_bot, t = kernels.tpqrt_kernel(r_top, b, l)
+        c_top = rand_dtype(rng, kdim, nc, dtype)
+        c_bot = rand_dtype(rng, b.shape[0], nc, dtype)
+        t1, b1 = kernels.tpmqrt_kernel(v_bot, t, c_top, c_bot, l,
                                        conj_trans=False)
-        assert np.allclose(t2, c_top, atol=1e-12)
-        assert np.allclose(b2, c_bot, atol=1e-12)
+        t2, b2 = kernels.tpmqrt_kernel(v_bot, t, t1, b1, l,
+                                       conj_trans=True)
+        scale = (kdim + mb) * max(np.abs(c_top).max(), np.abs(c_bot).max())
+        assert close(t2, c_top, dtype, scale)
+        assert close(b2, c_bot, dtype, scale)
+
+
+class TestLapackErrors:
+    def test_rejected_l_raises(self, rng):
+        """l beyond min(rows, cols) of B breaks ?tpqrt's contract."""
+        r_top, b = np.triu(rand(rng, 4, 4)), rand(rng, 3, 4)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"tpqrt_kernel: l=4 outside \[0, 3\]"):
+            kernels.tpqrt_kernel(r_top, b, 4)
+
+    def test_tpmqrt_l_beyond_v_rows_refused(self, rng):
+        """Neither scipy's wrapper nor ?tpmqrt checks l <= rows(V): the
+        kernel must refuse it instead of corrupting memory."""
+        _, v_bot, t = kernels.tpqrt_kernel(np.triu(rand(rng, 4, 4)),
+                                           rand(rng, 3, 4), 0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"tpmqrt_kernel: l=4 outside \[0, 3\]"):
+            kernels.tpmqrt_kernel(v_bot, t, rand(rng, 4, 2), rand(rng, 3, 2),
+                                  4, conj_trans=True)
+
+    @pytest.mark.parametrize("kernel, name, args", [
+        ("geqrt_kernel", "dgeqrt", lambda a: (a,)),
+        ("apply_q_kernel", "dgemqrt", lambda a: (a, np.eye(4), a, True)),
+        ("tpqrt_kernel", "dtpqrt", lambda a: (np.eye(4), a, 0)),
+        ("tpmqrt_kernel", "dtpmqrt",
+         lambda a: (a, np.eye(4), np.eye(4), a, 0, True)),
+    ])
+    def test_nonzero_info_raises(self, rng, monkeypatch, kernel, name, args):
+        """LAPACK reports a bad argument as info = -i; scipy's wrappers
+        check the same constraints first, so a stand-in routine
+        returns it here."""
+        def rejecting(routine, dtype):
+            def call(*_args, **_kwargs):
+                return None, -7
+            call.typecode = "d"
+            return call
+
+        monkeypatch.setattr(kernels, "_routine", rejecting)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"{kernel}: {name} returned info=-7"):
+            getattr(kernels, kernel)(*args(rand(rng, 6, 4)))
 
 
 class TestTrsmKernel:
