@@ -68,7 +68,7 @@ def test_flop_model(once):
     rows = once(body)
     text = format_table(
         "E13: paper flop formula vs summed Task.flops (kappa=1e16; "
-        "the ~1.8x gap = tile-model T builds and couples + explicit Q)",
+        "the ~1.4x gap = tile-model T builds and couples + explicit Q)",
         ["n", "paper flops", "task flops", "ratio"], rows)
     write_result("flop_model", text)
     for r in rows:

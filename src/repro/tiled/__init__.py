@@ -28,7 +28,8 @@ from .blas3 import (
     set_zero,
     transpose_conj,
 )
-from .qr import QRFactors, geqrf, unmqr_identity, qr_explicit
+from .qr import (QRFactors, geqrf, unmqr_identity, qr_explicit,
+                 qr_stacked_identity)
 from .cholesky import posv, potrf, trsm_lower
 from .norms import norm_fro, norm_inf, norm_max, norm_one, column_abs_sums
 from .estimators import norm2est_tiled, trcondest_tiled
@@ -39,6 +40,7 @@ __all__ = [
     "add", "copy", "gemm", "herk", "scale", "set_diag_add",
     "set_identity", "set_zero", "transpose_conj",
     "QRFactors", "geqrf", "unmqr_identity", "qr_explicit",
+    "qr_stacked_identity",
     "posv", "potrf", "trsm_lower",
     "norm_fro", "norm_inf", "norm_max", "norm_one", "column_abs_sums",
     "norm2est_tiled", "trcondest_tiled",

@@ -15,12 +15,17 @@ side buffer with their own dependency refs.
 ``qr_explicit`` forms the economy Q = Q_full[:, :n] by applying the
 reflectors to an [I; 0] workspace in reverse order — exactly how
 Algorithm 1 materializes [Q1; Q2] (its ``unmqr`` call, line 32).
+
+``qr_stacked_identity`` is the QDWH iteration's entry point: it builds
+the stack [alpha A; I] itself, so the identity block's structure holds
+by construction, and factors only the tile rows each panel can reach
+(:attr:`QRFactors.rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -43,6 +48,11 @@ class QRFactors:
       ``aux[("tt", i2, k)]`` is the triangle-combine ``(V_bot, T,
       rows_eff)`` whose bottom operand was row i2's top ``l = rows_eff``
       rows.  Every T is ``ib x k`` for k reflectors (:func:`_t_nbytes`).
+
+    ``rows[k]`` lists the tile rows panel k reduces, diagonal row k
+    first; rows outside it are exact zeros in the panel's column, so
+    its reflectors have no support there.  The factorization and the Q
+    formation both iterate it.
     """
 
     a: DistMatrix                 # R upper + panel reflectors lower
@@ -51,6 +61,7 @@ class QRFactors:
     tt_mat: int = -1              # pseudo-matrix id for tree-combine refs
     panel: str = "tree"
     aux: Dict[object, object] = field(default_factory=dict)
+    rows: List[range] = field(default_factory=list)
 
     def t_ref(self, i: int, k: int) -> TileRef:
         return (self.aux_mat, i, k)
@@ -126,19 +137,64 @@ def geqrf(rt: Runtime, a: DistMatrix, *, panel: str = "tree") -> QRFactors:
       CAQR-style internal geqrf.
     * ``"flat"`` — PLASMA-style sequential TS chain (depth = panel
       height); kept as the ablation baseline.
+
+    Every panel reduces all tile rows on and below its diagonal.
     """
-    if panel == "tree":
-        return _geqrf_tree(rt, a)
-    if panel != "flat":
+    if panel not in ("tree", "flat"):
         raise ValueError(f"panel must be 'tree' or 'flat', got {panel!r}")
-    return _geqrf_flat(rt, a)
-
-
-def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
     if a.m < a.n:
         raise ValueError(f"tiled geqrf requires m >= n, got {a.m}x{a.n}")
-    kt = min(a.mt, a.nt)
-    fac = QRFactors(a=a, kt=kt, aux_mat=rt.new_matrix_id())
+    rows = [range(k, a.mt) for k in range(min(a.mt, a.nt))]
+    rt.begin_op()
+    if panel == "tree":
+        return _geqrf_tree(rt, a, rows)
+    return _geqrf_flat(rt, a, rows)
+
+
+def qr_stacked_identity(rt: Runtime, a: DistMatrix,
+                        alpha: float) -> DistMatrix:
+    """Explicit economy Q of the stack W = [alpha A; I] (tree panels).
+
+    W is built here, so its identity block is known to be upper
+    triangular, and it stays so: panel k's reflectors reach only bottom
+    tile rows ``a.mt .. a.mt + k``, and every row below them is zero in
+    column k.  Panel k therefore reduces the ``a.mt + 1`` contiguous
+    tile rows ``k .. a.mt + k``; the skipped tasks would apply
+    reflectors with zero support.  Returns Q ((m + n) x n, W's tiling).
+    """
+    if a.m < a.n:
+        raise ValueError(f"stacked QR requires m >= n, got {a.m}x{a.n}")
+    w = DistMatrix(rt, a.m + a.n, a.n, a.nb, a.dtype, layout=a.layout,
+                   name="W", row_heights=a.row_heights + a.col_widths,
+                   col_widths=a.col_widths)
+    rt.advance_phase()
+    _copy_scaled(rt, alpha, a, w)
+    _set_identity_rows(rt, w, a.mt, "wident")
+    rt.begin_op()
+    fac = _geqrf_tree(rt, w, [range(k, a.mt + k + 1) for k in range(a.nt)])
+    return unmqr_identity(rt, fac)
+
+
+def _copy_scaled(rt: Runtime, alpha: float, src: DistMatrix,
+                 dst: DistMatrix) -> None:
+    """dst's leading tile rows <- alpha * src (the top block of W)."""
+    for i in range(src.mt):
+        for j in range(src.nt):
+
+            def body(i=i, j=j):
+                dst.tile(i, j)[...] = dst.dtype.type(alpha) * src.tile(i, j)
+
+            rt.submit(TaskKind.COPY, reads=(src.ref(i, j),),
+                      writes=(dst.ref(i, j),), rank=dst.owner(i, j),
+                      flops=float(src.tile_rows(i) * src.tile_cols(j)),
+                      tile_dim=dst.nb, fn=body,
+                      bytes_out=dst.tile_nbytes(i, j),
+                      label=f"cpysc({i},{j})")
+
+
+def _geqrf_flat(rt: Runtime, a: DistMatrix, rows: List[range]) -> QRFactors:
+    kt = len(rows)
+    fac = QRFactors(a=a, kt=kt, aux_mat=rt.new_matrix_id(), rows=rows)
     fac.panel = "flat"
     aux = fac.aux
     # Processes backend: aux entries (T factors) are driver dict state
@@ -179,7 +235,7 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
                       bytes_out=a.tile_nbytes(k, j),
                       label=f"unmqr({k},{j})")
 
-        for i in range(k + 1, a.mt):
+        for i in rows[k][1:]:
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
             rt.register_tiles([tik], _t_nbytes(kb, itemsize))
@@ -220,15 +276,12 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
     return fac
 
 
-def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
-    """Communication-avoiding TSQR panels (binary triangle combines)."""
-    rt.begin_op()
-    rt.begin_op()
-    if a.m < a.n:
-        raise ValueError(f"tiled geqrf requires m >= n, got {a.m}x{a.n}")
-    kt = min(a.mt, a.nt)
+def _geqrf_tree(rt: Runtime, a: DistMatrix, rows: List[range]) -> QRFactors:
+    """Communication-avoiding TSQR panels (binary triangle combines)
+    over the tile rows ``rows[k]`` of each panel k."""
+    kt = len(rows)
     fac = QRFactors(a=a, kt=kt, aux_mat=rt.new_matrix_id(),
-                    tt_mat=rt.new_matrix_id(), panel="tree")
+                    tt_mat=rt.new_matrix_id(), panel="tree", rows=rows)
     aux = fac.aux
     # Both pseudo-matrix ids resolve into the same aux dict; the tree
     # combine entries are keyed ("tt", i2, k) (see QRFactors docstring).
@@ -239,11 +292,10 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
     for k in range(kt):
         rt.advance_phase()
         kb = a.tile_cols(k)
-        length = a.mt - k
 
         # 1. Independent geqrt of every block row of the panel, plus the
         #    row-local trailing update (all rows run concurrently).
-        for i in range(k, a.mt):
+        for i in rows[k]:
             mbi = a.tile_rows(i)
             tik = fac.t_ref(i, k)
             t_bytes = _t_nbytes(min(mbi, kb), itemsize)
@@ -277,10 +329,10 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
                           label=f"ts.unmqr({i},{j})")
 
         # 2. Binary combine rounds (log2 depth).
-        heights = [a.tile_rows(i) for i in range(k, a.mt)]
+        heights = [a.tile_rows(i) for i in rows[k]]
         for round_pairs in _tree_rounds(heights, kb):
             for p1, p2, rows_eff in round_pairs:
-                i1, i2 = k + p1, k + p2
+                i1, i2 = rows[k][p1], rows[k][p2]
                 ttref = fac.tt_ref(i2, k)
                 tt_bytes = (_t_nbytes(kb, itemsize)
                             + rows_eff * kb * itemsize)
@@ -323,15 +375,17 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
     return fac
 
 
-def _set_econ_identity(rt: Runtime, q: DistMatrix) -> None:
-    """Q workspace <- [I_n; 0] (tile-aligned: heights[k] == widths[k])."""
-    for i in range(q.mt):
+def _set_identity_rows(rt: Runtime, q: DistMatrix, row0: int,
+                       label: str) -> None:
+    """Tile rows ``row0..`` of q <- [I_n; 0] (tile-aligned:
+    ``heights[row0 + k] == widths[k]``)."""
+    for i in range(row0, q.mt):
         for j in range(q.nt):
 
             def body(i=i, j=j):
                 t = q.tile(i, j)
                 t[...] = 0
-                if i == j:
+                if i - row0 == j:
                     d = min(t.shape)
                     t[np.arange(d), np.arange(d)] = 1
 
@@ -340,7 +394,7 @@ def _set_econ_identity(rt: Runtime, q: DistMatrix) -> None:
                       flops=float(q.tile_rows(i) * q.tile_cols(j)),
                       tile_dim=q.nb, fn=body,
                       bytes_out=q.tile_nbytes(i, j),
-                      label=f"qeye({i},{j})")
+                      label=f"{label}({i},{j})")
 
 
 def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
@@ -354,7 +408,7 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
     q = DistMatrix(rt, a.m, a.n, a.nb, a.dtype, layout=a.layout,
                    name="Q", row_heights=a.row_heights,
                    col_widths=a.col_widths)
-    _set_econ_identity(rt, q)
+    _set_identity_rows(rt, q, 0, "qeye")
     if fac.panel == "tree":
         _apply_q_tree(rt, fac, q)
         return q
@@ -363,7 +417,7 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
         kb = a.tile_cols(k)
         mb = a.tile_rows(k)
         tkk = fac.t_ref(k, k)
-        for i in reversed(range(k + 1, a.mt)):
+        for i in reversed(fac.rows[k][1:]):
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
             for j in range(q.nt):
@@ -405,11 +459,11 @@ def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
     for k in reversed(range(fac.kt)):
         rt.advance_phase()
         kb = a.tile_cols(k)
-        heights = [a.tile_rows(i) for i in range(k, a.mt)]
-        rounds = _tree_rounds(heights, kb)
+        rows = fac.rows[k]
+        rounds = _tree_rounds([a.tile_rows(i) for i in rows], kb)
         for round_pairs in reversed(rounds):
             for p1, p2, _cap in round_pairs:
-                i1, i2 = k + p1, k + p2
+                i1, i2 = rows[p1], rows[p2]
                 ttref = fac.tt_ref(i2, k)
                 for j in range(q.nt):
 
@@ -429,7 +483,7 @@ def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
                               bytes_out=(q.tile_nbytes(i1, j)
                                          + q.tile_nbytes(i2, j)),
                               label=f"q.ttmqrt({i1},{i2},{j})")
-        for i in range(k, a.mt):
+        for i in rows:
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
             for j in range(q.nt):

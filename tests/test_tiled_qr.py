@@ -1,12 +1,15 @@
 """Tiled QR factorization tests (tree and flat panels)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dist import DistMatrix
-from repro.tiled import geqrf, qr_explicit
+from repro.runtime.task import TaskKind
+from repro.tiled import geqrf, qr_explicit, qr_stacked_identity
 
 from .conftest import make_runtime
 
@@ -64,7 +67,8 @@ class TestQRCorrectness:
         assert recon < 1e-13 and orth < 1e-13
 
     def test_stacked_identity_structure(self, rng):
-        """QR of [A; I] — exactly the QDWH iteration's workspace."""
+        """QR of [A; I] through the generic dense-panel path (QDWH's own
+        stack goes through qr_stacked_identity, TestStackedIdentityQR)."""
         rt = make_runtime()
         A = rng.standard_normal((12, 12))
         W = np.vstack([A, np.eye(12)])
@@ -121,3 +125,95 @@ class TestQRGraphShape:
         p0 = rt.phase
         geqrf(rt, d)
         assert rt.phase - p0 >= 2  # one per panel step
+
+    @pytest.mark.parametrize("panel", ["tree", "flat"])
+    def test_one_op_per_geqrf(self, panel):
+        """Both panel variants record exactly one library op."""
+        rt = make_runtime(1, 1, numeric=False)
+        d = DistMatrix(rt, 32, 16, 8)
+        before = rt.begin_op()
+        geqrf(rt, d, panel=panel)
+        assert {t.op for t in rt.graph.tasks} == {before + 1}
+
+
+#: (m, n, nb) of A: square, tall, and ragged (nb does not divide n).
+STACK_SHAPES = [(24, 24, 8), (40, 16, 8), (22, 22, 8), (31, 17, 5)]
+DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+QR_KINDS = {TaskKind.GEQRT, TaskKind.UNMQR, TaskKind.TPQRT,
+            TaskKind.TPMQRT}
+
+
+class TestStackedIdentityQR:
+    """The QDWH stack [alpha A; I], factored with its structure."""
+
+    @pytest.mark.parametrize("shape", STACK_SHAPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_dense_qr(self, shape, dtype):
+        m, n, nb = shape
+        rng = np.random.default_rng(m * 7 + n + nb)
+        A = rng.standard_normal((m, n))
+        if np.issubdtype(dtype, np.complexfloating):
+            A = A + 1j * rng.standard_normal((m, n))
+        A = A.astype(dtype)
+        alpha = 0.7
+        rt = make_runtime(2, 2)
+        dA = DistMatrix.from_array(rt, A.copy(), nb)
+        Q = qr_stacked_identity(rt, dA, alpha).to_array()
+        W = np.vstack([alpha * A.astype(np.complex128), np.eye(n)])
+        Q64 = Q.astype(np.complex128)
+        tol = 32 * np.finfo(dtype).eps * np.sqrt(m + n)
+        assert Q.dtype == dtype and Q.shape == (m + n, n)
+        # Q R = W with R = Q^H W upper triangular.
+        R = Q64.conj().T @ W
+        assert np.abs(np.tril(R, -1)).max() < tol
+        assert np.abs(Q64 @ np.triu(R) - W).max() < tol
+        assert np.abs(Q64.conj().T @ Q64 - np.eye(n)).max() < tol
+        # Q1 Q2^H does not depend on the sign convention of R's rows.
+        Qd, _ = np.linalg.qr(W)
+        ref = Qd[:m] @ Qd[m:].conj().T
+        assert np.abs(Q64[:m] @ Q64[m:].conj().T - ref).max() < tol
+
+    @pytest.mark.parametrize("shape", STACK_SHAPES)
+    def test_panels_reach_only_filled_bottom_rows(self, shape):
+        """Panel k factors tile rows k .. mt_A + k: mt_A + 1 geqrts, and
+        no task of panels before i touches bottom tile row mt_A + i."""
+        m, n, nb = shape
+        rt = make_runtime(1, 1, numeric=False)
+        a = DistMatrix(rt, m, n, nb)
+        qr_stacked_identity(rt, a, 1.0)
+        tasks = [t for t in rt.graph.tasks if t.kind in QR_KINDS]
+        geqrt_per_panel = Counter(t.phase for t in tasks
+                                  if t.kind is TaskKind.GEQRT)
+        assert sorted(geqrt_per_panel.values()) == [a.mt + 1] * a.nt
+        # Every QR task names its panel k through a T-factor ref (GEQRT
+        # and TPQRT write one; the applies read it).
+        side = {t.writes[1][0] for t in tasks
+                if t.kind in (TaskKind.GEQRT, TaskKind.TPQRT)}
+        first_touch = {}
+        for t in tasks:
+            refs = t.reads + t.writes
+            (k,) = {r[2] for r in refs if r[0] in side}
+            for mat, i, _j in refs:
+                if mat not in side and i >= a.mt:
+                    assert i - a.mt <= k, (t.label, k)
+                    first_touch[i] = min(first_touch.get(i, k), k)
+        assert first_touch == {a.mt + b: b for b in range(a.nt)}
+
+    def test_rejects_wide(self):
+        rt = make_runtime(1, 1, numeric=False)
+        with pytest.raises(ValueError):
+            qr_stacked_identity(rt, DistMatrix(rt, 12, 20, 4), 1.0)
+
+    def test_task_counts_at_paper_tiling(self):
+        """One QR iteration at n=1024, nb=128 (8x8 A, 16x8 stack)."""
+        rt = make_runtime(1, 1, numeric=False)
+        qr_stacked_identity(rt, DistMatrix(rt, 1024, 1024, 128), 1.0)
+        counts = rt.graph.counts_by_kind()
+        assert (counts["geqrt"], counts["tpqrt"], counts["unmqr"],
+                counts["tpmqrt"]) == (72, 64, 828, 736)
+
+        rt = make_runtime(1, 1, numeric=False)
+        qr_explicit(rt, DistMatrix(rt, 2048, 1024, 128))
+        counts = rt.graph.counts_by_kind()
+        assert (counts["geqrt"], counts["tpqrt"], counts["unmqr"],
+                counts["tpmqrt"]) == (100, 92, 1192, 1100)
